@@ -17,14 +17,21 @@ rows, giving O(1) cell and face-neighbour lookup, which phase two
 depends on.
 
 Construction is a single scan in the paper; here the points are binned
-once at the finest half-resolution ``2^H`` and every coarser level is
-derived by *aggregating cells* — right-shifting coordinates and summing
-counts over equal parents — so the per-point work is O(η) total instead
-of O(η·H).  The result is bit-identical to re-scanning the points per
-level (the seed behaviour, kept as :func:`_reference_build` for the
-equivalence tests and the perf baseline): each point still contributes
-one count to every level and one half-space count per axis, exactly as
-Algorithm 1 lines 4-10.
+once at half-resolution ``2^H``, grouped once into the cells of level
+``H-1``, and every coarser level is derived by *aggregating cells* —
+right-shifting coordinates and summing counts over equal parents — so
+the per-point work is O(η) total instead of O(η·H).  The result is
+bit-identical to re-scanning the points per level (the seed behaviour,
+kept as :func:`_reference_build` for the equivalence tests and the perf
+baseline): each point still contributes one count to every level and
+one half-space count per axis, exactly as Algorithm 1 lines 4-10.
+
+Two cell-key formats, each with one job: grouping sorts packed int64
+words (:func:`_cell_keys`, narrow and fast to compare), while the
+big-endian :func:`void_keys` are the ``Level`` lookup index and the
+model store's persisted key format.  Both order cells lexicographically
+by coordinate — the order the compiled kernels' merge-joins and the
+β-search's lowest-row tie-break rely on.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy import sparse
 
 from repro import env, obs
 from repro.core.contracts import ContractError, check_array
@@ -264,8 +272,8 @@ class CountingTree:
     Notes
     -----
     Time ``O(η d + cells·H·d)`` — the η points are touched exactly once
-    (binning plus one sort at the finest half-resolution); every coarser
-    level aggregates the previous level's at-most-η cells.  Space
+    (binning plus one sort of their packed level-``H-1`` keys); every
+    coarser level aggregates the previous level's at-most-η cells.  Space
     ``O(H η d)``, matching Algorithm 1's stated complexity.
     """
 
@@ -377,59 +385,58 @@ merge all speak it."""
 def level_arrays(base: IntArray, n_resolutions: int) -> dict[int, LevelArrays]:
     """Per-level SoA cell aggregates from binned coordinates (pure).
 
-    The η points are grouped into cells once, at half-resolution
-    ``2^H``; level ``H-1`` down to ``1`` are then derived from the
-    next-finer *cells* — right-shift the coordinates, sum counts over
-    unique parents, and credit the count to ``half_counts[j]`` where
-    the finer coordinate's parity along ``e_j`` is even (the finer
-    cell sits in the lower half of its parent).  Every ``np.unique``
-    after the first sorts at most ``cells`` rows, not ``η``, so the
-    per-point work is one binning pass plus one sort.
+    ``base`` holds the points' coordinates at half-resolution ``2^H``,
+    which is never grouped itself: level ``H-1`` groups the points by
+    ``base >> 1``, and a point is in the lower half of its level-``H-1``
+    cell along ``e_j`` exactly when its ``base`` parity along ``e_j``
+    is even.  Levels ``H-2`` down to ``1`` are derived the same way
+    from the next-finer *cells* — right-shift the coordinates, sum
+    counts over equal parents, and credit a finer cell's count to
+    ``half_counts[j]`` where its coordinate is even along ``e_j``.  Only
+    the first grouping sorts η rows; every later one sorts at most one
+    row per finer cell.
 
-    Grouping sorts :func:`void_keys` (an index argsort over packed
-    big-endian keys) instead of ``np.unique(axis=0)`` (a payload sort
-    of wide void rows), and the resulting numeric-lexicographic cell
-    order is canonical: any split of the points into chunks yields,
-    after :func:`merge_level_arrays`, element-identical arrays.  This
-    function is deliberately free of observability and environment
-    access — it is the body shard workers run, and workers must be
-    pure.
+    Each grouping sorts the packed int64 keys of :func:`_cell_keys`, and
+    the resulting numeric-lexicographic cell order is canonical: any
+    split of the points into chunks yields, after
+    :func:`merge_level_arrays`, element-identical arrays.  Coordinates
+    outside ``[0, 2^H)`` raise :class:`ContractError`.  This function is
+    deliberately free of observability and environment access — it is
+    the body shard workers run, and workers must be pure.
     """
-    fine_coords, order, starts, _ = _group_rows(base)
-    fine_counts = np.diff(np.append(starts, base.shape[0]))
-
+    _check_cell_coords(base, n_resolutions)
+    fine_coords = base
+    fine_counts = np.ones(base.shape[0], dtype=np.int64)
     arrays: dict[int, LevelArrays] = {}
     for h in range(n_resolutions - 1, 0, -1):
-        cells, order, starts, _ = _group_rows(fine_coords >> 1)
-        counts = np.add.reduceat(fine_counts[order], starts)
-        # A finer cell sits in the lower half of its parent along e_j
-        # exactly when its coordinate's parity along e_j is even.
-        in_lower_half = np.where(
-            (fine_coords[order] & 1) == 0, fine_counts[order][:, None], 0
+        in_lower_half = (fine_coords & 1) ^ 1
+        arrays[h] = _sum_by_cell(
+            fine_coords >> 1, h, fine_counts, in_lower_half, fine_counts
         )
-        half_counts = np.add.reduceat(in_lower_half, starts, axis=0)
-        arrays[h] = (cells, counts, half_counts)
-        fine_coords, fine_counts = cells, counts
+        fine_coords, fine_counts, _ = arrays[h]
     return {h: arrays[h] for h in range(1, n_resolutions)}
 
 
-def merge_level_arrays(left: LevelArrays, right: LevelArrays) -> LevelArrays:
-    """Key-grouped sum of two SoA aggregates of the same level (pure).
+def merge_level_arrays(
+    left: LevelArrays, right: LevelArrays, h: int
+) -> LevelArrays:
+    """Key-grouped sum of two SoA aggregates of level ``h`` (pure).
 
     Cell counts and half-space counts are sums over points, so merging
     two disjoint point sets' aggregates is an integer sum grouped by
     cell key; the output is again in canonical key order.  The merge is
     associative and commutative, which is what lets the sharded build
     reduce partial trees in deterministic shard order regardless of
-    worker completion order.
+    worker completion order.  Both operands are packed with the level's
+    ``h``-bit key fields, and a coordinate outside ``[0, 2^h)`` raises
+    :class:`ContractError`.
     """
     coords = np.concatenate([left[0], right[0]])
+    _check_cell_coords(coords, h)
     counts = np.concatenate([left[1], right[1]])
     halves = np.concatenate([left[2], right[2]])
-    cells, order, starts, _ = _group_rows(coords)
-    merged_counts = np.add.reduceat(counts[order], starts)
-    merged_halves = np.add.reduceat(halves[order], starts, axis=0)
-    return cells, merged_counts, merged_halves
+    ones = np.ones(counts.shape[0], dtype=np.int64)
+    return _sum_by_cell(coords, h, counts, halves, ones)
 
 
 def level_from_arrays(h: int, arrays: LevelArrays) -> Level:
@@ -462,27 +469,74 @@ def aggregate_levels(base: IntArray, n_resolutions: int) -> dict[int, Level]:
     return levels
 
 
-def _group_rows(
-    coords: IntArray,
-) -> tuple[IntArray, IntArray, IntArray, AnyArray]:
-    """Group identical coordinate rows by sorting their packed keys.
+def _check_cell_coords(coords: IntArray, h: int) -> None:
+    """Reject coordinates that do not fit level ``h``'s ``h``-bit fields.
 
-    Returns ``(cells, order, starts, cell_keys)``: the unique rows in
-    numeric-lexicographic order, the permutation sorting the input into
-    that order, the start offset of each group within the permuted
-    input, and the void key of each unique row (sorted — reusable as a
-    ready-made ``Level`` lookup index).
+    An out-of-range coordinate would spill into its neighbour's field of
+    the packed key and silently alias distinct cells, so this guard is
+    always on, contracts enabled or not — a wrong key is a wrong
+    clustering, not a slow one.
     """
-    keys = void_keys(coords)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    if sorted_keys.shape[0] > 1:
-        changed = sorted_keys[1:] != sorted_keys[:-1]
-        starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
+    if coords.size and (int(coords.min()) < 0 or int(coords.max()) >= 1 << h):
+        raise ContractError(
+            f"level-{h} cell coordinates must lie in [0, 2**{h}) to fit "
+            f"the {h}-bit key fields (observed range "
+            f"[{int(coords.min())}, {int(coords.max())}])"
+        )
+
+
+def _cell_keys(coords: IntArray, h: int) -> list[IntArray]:
+    """Pack level-``h`` coordinate rows into lexicographic int64 words.
+
+    Each word holds ``63 // h`` whole ``h``-bit axis fields, the lower
+    axis in the higher bits, and the sign bit stays clear; comparing
+    the words in order is comparing the rows lexicographically.  One
+    word covers every level with ``h·d <= 63``.
+    """
+    per_word = 63 // h
+    words = []
+    for start in range(0, coords.shape[1], per_word):
+        fields = coords[:, start : start + per_word]
+        shifts = h * np.arange(fields.shape[1] - 1, -1, -1, dtype=np.int64)
+        words.append(fields @ (np.int64(1) << shifts))
+    return words
+
+
+def _sum_by_cell(
+    coords: IntArray,
+    h: int,
+    counts: IntArray,
+    halves: IntArray,
+    half_weights: IntArray,
+) -> LevelArrays:
+    """Group level-``h`` rows into cells in key order and sum them.
+
+    Returns ``(cells, Σ counts, Σ half_weights·halves)`` per cell.  The
+    half-count sum is one sparse product with the group-membership
+    matrix — an exact int64 sum without a per-group fixed cost, which
+    matters because most groups hold one or two rows.
+    """
+    words = _cell_keys(coords, h)
+    if len(words) == 1:
+        order = np.argsort(words[0])
     else:
-        starts = np.zeros(sorted_keys.shape[0], dtype=np.int64)
-    cells = np.ascontiguousarray(coords[order[starts]])
-    return cells, order, starts, sorted_keys[starts]
+        order = np.lexsort(words[::-1])
+    rows = order.shape[0]
+    boundary = np.zeros(rows, dtype=bool)
+    boundary[:1] = True
+    for word in words:
+        ranked = word[order]
+        boundary[1:] |= ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(boundary)
+    membership = sparse.csr_matrix(
+        (half_weights[order], order, np.append(starts, rows)),
+        shape=(starts.shape[0], rows),
+    )
+    return (
+        np.ascontiguousarray(coords[order[starts]]),
+        np.add.reduceat(counts[order], starts),
+        membership @ halves,
+    )
 
 
 def _reference_build(base: IntArray, h: int, n_resolutions: int, d: int) -> Level:

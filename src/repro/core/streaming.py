@@ -132,7 +132,7 @@ class TreeStreamBuilder:
             raise ValueError("a partial tree must cover at least one point")
         merged = {
             h: (
-                merge_level_arrays(self._stores[h], arrays[h])
+                merge_level_arrays(self._stores[h], arrays[h], h)
                 if h in self._stores
                 else arrays[h]
             )

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.contracts import ContractError
-from repro.core.counting_tree import CountingTree, void_keys
+from repro.core.counting_tree import (
+    CountingTree,
+    bin_points,
+    level_arrays,
+    merge_level_arrays,
+    reference_levels,
+    void_keys,
+)
+from repro.core.streaming import TreeStreamBuilder, shard_level_arrays
 
 
 def _tree(points, H=4):
@@ -207,6 +215,174 @@ class TestUint32KeyGuard:
         chunks = [np.array([[0.25, 0.75]], dtype=np.float64)]
         with pytest.raises(ContractError, match="n_resolutions"):
             build_tree_from_chunks(chunks, n_resolutions=33)
+
+
+def _soa(level):
+    return level.coords, level.n, level.half_counts
+
+
+def _assert_level_equal(arrays, reference):
+    """Element- and dtype-identical ``(coords, n, half_counts)``."""
+    for got, want in zip(arrays, _soa(reference)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def _width_points(n_points, d, seed):
+    """Uniform rows plus repeated rows, rows that differ only in the
+    last axis (cells told apart by a trailing key word alone) and both
+    grid corners, so every level aggregates and reaches its extreme
+    coordinates."""
+    rng = np.random.default_rng(seed)
+    uniform = rng.uniform(0, 1, size=(n_points, d))
+    repeats = uniform[rng.integers(0, n_points, size=n_points // 2)]
+    twins = uniform[: n_points // 4].copy()
+    twins[:, -1] = rng.uniform(0, 1, size=twins.shape[0])
+    corners = np.stack([np.zeros(d), np.full(d, np.nextafter(1.0, 0.0))])
+    return rng.permutation(np.concatenate([uniform, repeats, twins, corners]))
+
+
+class TestPackedKeyGuard:
+    """Grouping packs h-bit fields; a coordinate outside [0, 2**h) must
+    raise, since it would spill into the next field and alias cells."""
+
+    def _merge_operand(self, coords):
+        coords = np.array(coords, dtype=np.int64)
+        m = coords.shape[0]
+        return coords, np.ones(m, dtype=np.int64), np.ones_like(coords)
+
+    def test_level_arrays_accepts_boundary_coordinates(self):
+        base = np.array([[15, 0], [0, 15]], dtype=np.int64)
+        arrays = level_arrays(base, 4)
+        assert arrays[3][0].tolist() == [[0, 7], [7, 0]]
+
+    def test_level_arrays_rejects_coordinate_at_two_to_the_h(self):
+        with pytest.raises(ContractError, match=r"\[0, 2\*\*4\)"):
+            level_arrays(np.array([[0, 16]], dtype=np.int64), 4)
+
+    def test_level_arrays_rejects_negative_coordinate(self):
+        with pytest.raises(ContractError, match="key fields"):
+            level_arrays(np.array([[-1, 0]], dtype=np.int64), 4)
+
+    def test_merge_rejects_coordinate_past_level_width(self):
+        left = self._merge_operand([[3, 5]])
+        with pytest.raises(ContractError, match=r"\[0, 2\*\*3\)"):
+            merge_level_arrays(left, self._merge_operand([[8, 0]]), 3)
+
+    def test_merge_rejects_negative_coordinate(self):
+        left = self._merge_operand([[3, 5]])
+        with pytest.raises(ContractError, match="key fields"):
+            merge_level_arrays(left, self._merge_operand([[0, -1]]), 3)
+
+    def test_disabled_contracts_still_guard_packed_keys(self):
+        # The guard is a correctness invariant, not a data-scan option.
+        from repro.core import contracts
+
+        left = self._merge_operand([[3, 5]])
+        with contracts.disabled():
+            with pytest.raises(ContractError):
+                level_arrays(np.array([[0, 16]], dtype=np.int64), 4)
+            with pytest.raises(ContractError):
+                merge_level_arrays(left, self._merge_operand([[0, 8]]), 3)
+
+    def test_rejected_merge_leaves_stream_builder_unchanged(self):
+        rng = np.random.default_rng(8)
+        points = rng.uniform(0, 1, size=(200, 3))
+        builder = TreeStreamBuilder(n_resolutions=4)
+        builder.absorb(points)
+        partial = shard_level_arrays(points[:10], 4)
+        coords, counts, halves = partial[3]
+        corrupt = coords.copy()
+        corrupt[0, 1] = 8
+        partial[3] = (corrupt, counts, halves)
+        with pytest.raises(ContractError):
+            builder.absorb_arrays(partial, n_points=10)
+        assert builder.n_points == 200
+        expected = reference_levels(bin_points(points, 4), 4, 3)
+        for h, level in builder.build_levels().items():
+            _assert_level_equal(_soa(level), expected[h])
+
+
+class TestPackedKeyWidths:
+    """Every key width — one word, a word boundary, several words —
+    groups element-identically to the per-level rescan oracle, one-shot,
+    chunked and sharded alike."""
+
+    WIDTHS = [
+        # (H, d): level H-1 packs (H-1)·d bits into 63 // (H-1) fields
+        # per word.
+        pytest.param(4, 21, id="h3-d21-63bits-one-full-word"),
+        pytest.param(4, 22, id="h3-d22-66bits-two-words"),
+        pytest.param(5, 16, id="h4-d16-64bits-two-words"),
+        pytest.param(32, 3, id="h31-two-fields-per-word"),
+        pytest.param(32, 5, id="h31-three-words"),
+        pytest.param(5, 1, id="d1"),
+        pytest.param(5, 40, id="d40"),
+    ]
+
+    @pytest.mark.parametrize("H, d", WIDTHS)
+    def test_one_shot_matches_reference(self, H, d):
+        points = _width_points(300, d, seed=H * 100 + d)
+        base = bin_points(points, H)
+        arrays = level_arrays(base, H)
+        expected = reference_levels(base, H, d)
+        assert arrays[H - 1][0].shape[0] < points.shape[0]
+        for h in range(1, H):
+            _assert_level_equal(arrays[h], expected[h])
+
+    @pytest.mark.parametrize("H, d", WIDTHS)
+    def test_chunked_and_sharded_match_one_shot(self, H, d):
+        points = _width_points(300, d, seed=H * 100 + d)
+        expected = reference_levels(bin_points(points, H), H, d)
+        # Uneven chunks, one of them a single point.
+        chunked = TreeStreamBuilder(n_resolutions=H)
+        for chunk in np.split(points, [1, 40, 41, 250]):
+            chunked.absorb(chunk)
+        # The sharded reduce: per-shard partial trees in shard order.
+        sharded = TreeStreamBuilder(n_resolutions=H)
+        for shard in np.array_split(points, 3):
+            sharded.absorb_arrays(
+                shard_level_arrays(shard, H), n_points=shard.shape[0]
+            )
+        for builder in (chunked, sharded):
+            for h, level in builder.build_levels().items():
+                _assert_level_equal(_soa(level), expected[h])
+
+    def test_multi_word_sharded_tree_matches_reference(self):
+        points = _width_points(300, 22, seed=7)
+        tree = CountingTree(points, n_resolutions=4, n_jobs=2)
+        expected = reference_levels(bin_points(points, 4), 4, 22)
+        for h in tree.levels:
+            level = tree.level(h)
+            _assert_level_equal(_soa(level), expected[h])
+
+    @pytest.mark.parametrize("d", [1, 3, 22])
+    def test_single_point_matches_reference(self, d):
+        points = np.random.default_rng(d).uniform(0, 1, size=(1, d))
+        base = bin_points(points, 5)
+        arrays = level_arrays(base, 5)
+        expected = reference_levels(base, 5, d)
+        for h in range(1, 5):
+            assert arrays[h][0].shape[0] == 1
+            _assert_level_equal(arrays[h], expected[h])
+
+    @pytest.mark.parametrize("d", [2, 22])
+    @pytest.mark.parametrize("one_cell_side", ["left", "right"])
+    def test_merge_with_a_one_cell_side(self, d, one_cell_side):
+        points = _width_points(200, d, seed=d + 1)
+        # Two copies of one point: one cell, with a count of two.
+        single = np.repeat(points[:1], 2, axis=0)
+        many = level_arrays(bin_points(points[1:], 4), 4)
+        one = level_arrays(bin_points(single, 4), 4)
+        expected = reference_levels(
+            bin_points(np.concatenate([single, points[1:]]), 4), 4, d
+        )
+        for h in range(1, 4):
+            assert one[h][0].shape[0] == 1
+            pair = (one[h], many[h])
+            if one_cell_side == "right":
+                pair = pair[::-1]
+            _assert_level_equal(merge_level_arrays(*pair, h), expected[h])
 
 
 class TestComplexityProxies:
