@@ -14,11 +14,13 @@ reference implementations that the core keeps for exactly this purpose:
 * **end-to-end ``MrCC.fit``** — whose labels must not change versus the
   all-reference pipeline.
 
-Results are written as a machine-readable JSON trajectory at the repo
-root (``BENCH_core.json``), keyed by workload, so future PRs can extend
-or compare against it.  Exit status is non-zero when a regression gate
-fails (aggregated build must beat the rescan; on the full profile by
-the ≥ 2× acceptance bar at H=5, d=15, η=100k).
+Results are written as a machine-readable JSON trajectory keyed by
+workload, so later runs can extend or compare against it: the full
+profile writes the committed ``BENCH_core.json`` at the repo root, the
+quick profile writes ``.bench_build/BENCH_core.quick.json`` so a smoke
+run never overwrites the full-profile numbers.  Exit status is non-zero
+when a regression gate fails (aggregated build must beat the rescan; on
+the full profile by the ≥ 2× acceptance bar at H=5, d=15, η=100k).
 
 Usage::
 
@@ -40,11 +42,9 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.beta_cluster import (
-    BetaCluster,
-    _grow_bounds,
     find_beta_clusters,
+    reference_find_beta_clusters,
 )
-from repro.core.convolution import convolve_level, level_responses, overlap_mask
 from repro.core.correlation_cluster import build_correlation_clusters
 from repro.core.counting_tree import (
     CountingTree,
@@ -53,12 +53,12 @@ from repro.core.counting_tree import (
     reference_levels,
     tree_from_levels,
 )
-from repro.core.hypothesis_test import neighborhood_counts, significant_axes
-from repro.core.mdl import mdl_cut_threshold
 from repro.core.mrcc import MrCC
 from repro.obs import perf_clock
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+FULL_OUTPUT = REPO_ROOT / "BENCH_core.json"
+QUICK_OUTPUT = REPO_ROOT / ".bench_build" / "BENCH_core.quick.json"
 SCHEMA_VERSION = 2
 TREE_SPEEDUP_FLOOR_FULL = 2.0
 BETA_COMPILED_SPEEDUP_FLOOR = 5.0
@@ -83,11 +83,11 @@ def use_backend(name: str) -> Iterator[kernels.Backend]:
 
 
 def collect_backends() -> dict[str, dict]:
-    """Metadata plus measured JIT warm-up time per loadable backend.
+    """Metadata plus measured warm-up time per loadable backend.
 
-    Warm-up (numba compilation or the one-off C build) runs here, once,
-    before any timed arm, so the timed runs never include it; the cost
-    is recorded instead of hidden.
+    Warm-up (the one-off C build for cext) runs here, once, before any
+    timed arm, so the timed runs never include it; the cost is recorded
+    instead of hidden.
     """
     rows: dict[str, dict] = {}
     for name in kernels.available_backends():
@@ -140,51 +140,6 @@ def bench_obs_overhead(eta: int) -> dict:
     finally:
         sys.path.pop(0)
     return measure_obs_overhead(eta)
-
-
-def reference_find_beta_clusters(tree: CountingTree, alpha: float) -> list:
-    """The seed β-cluster search: full masked argmax per level per
-    restart, full-level overlap masks per found box.
-
-    Kept verbatim (module functions it uses are still exported) as the
-    timing/equivalence reference for the incremental search.
-    """
-    responses = {h: level_responses(tree.level(h)) for h in tree.levels if h >= 2}
-    excluded = {
-        h: np.zeros(tree.level(h).n_cells, dtype=bool)
-        for h in tree.levels
-        if h >= 2
-    }
-    found: list[BetaCluster] = []
-    while True:
-        new_cluster = None
-        for h in tree.levels:
-            if h < 2:
-                continue
-            level = tree.level(h)
-            row = convolve_level(tree, h, responses[h], excluded[h])
-            if row < 0:
-                continue
-            level.used[row] = True
-            counts = neighborhood_counts(tree, h, row)
-            if not np.any(significant_axes(counts, alpha)):
-                continue
-            relevances = counts.relevances()
-            threshold = mdl_cut_threshold(relevances)
-            relevant = relevances >= threshold
-            lower, upper = _grow_bounds(tree, h, row, relevant)
-            new_cluster = BetaCluster(
-                lower=lower, upper=upper, relevant=relevant,
-                level=h, center_row=row, relevances=relevances,
-            )
-            break
-        if new_cluster is None:
-            return found
-        found.append(new_cluster)
-        for h in excluded:
-            excluded[h] |= overlap_mask(
-                tree.level(h), new_cluster.lower, new_cluster.upper
-            )
 
 
 def bench_tree_build(eta: int, d: int, h: int, repeats: int, seed: int) -> dict:
@@ -428,20 +383,28 @@ def bench_serve(
     return row
 
 
-def merge_serve_workloads(output: Path, serve_rows: dict[str, dict]) -> dict:
+def default_output(quick: bool) -> Path:
+    """Where a run writes when ``--output`` is not given."""
+    return QUICK_OUTPUT if quick else FULL_OUTPUT
+
+
+def merge_serve_workloads(
+    output: Path, serve_rows: dict[str, dict], profile: str
+) -> dict:
     """Update only the ``serve/`` workload keys of an existing trajectory.
 
     The committed ``BENCH_core.json`` holds full-profile numbers for
-    every arm; a serve-only rerun must not clobber them with nothing or
-    with quick-profile values.  Missing file falls back to a minimal
-    payload that carries just the serve rows.
+    every arm; a serve-only rerun must not clobber them with nothing
+    (quick runs default to their own file, see :func:`default_output`).
+    Missing file falls back to a minimal payload that carries just the
+    serve rows and the ``profile`` the run used.
     """
     if output.exists():
         payload = json.loads(output.read_text())
     else:
         payload = {
             "schema": SCHEMA_VERSION,
-            "profile": "full",
+            "profile": profile,
             "generated_by": "scripts/perf_baseline.py",
             "backends": {},
             "workloads": {},
@@ -467,10 +430,12 @@ def main(argv: list[str] | None = None) -> int:
         "existing trajectory instead of rewriting the whole file",
     )
     parser.add_argument(
-        "--output", type=Path, default=REPO_ROOT / "BENCH_core.json",
-        help="where to write the JSON trajectory (default: repo root)",
+        "--output", type=Path, default=None,
+        help="where to write the JSON trajectory (default: BENCH_core.json "
+        "at the repo root; .bench_build/BENCH_core.quick.json with --quick)",
     )
     args = parser.parse_args(argv)
+    output = args.output or default_output(args.quick)
 
     if args.quick:
         profile = "quick"
@@ -529,10 +494,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.only == "serve":
         name, row = run_serve_arm()
-        payload = merge_serve_workloads(args.output, {name: row})
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"merged {name} into {args.output}")
+        payload = merge_serve_workloads(output, {name: row}, profile)
+        output.parent.mkdir(parents=True, exist_ok=True)
+        output.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"merged {name} into {output}")
         return 0
 
     workloads = {}
@@ -598,9 +563,9 @@ def main(argv: list[str] | None = None) -> int:
         "backends": backends,
         "workloads": workloads,
     }
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output}")
+    output.parent.mkdir(parents=True, exist_ok=True)
+    output.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {output}")
 
     failed = False
     if tree_speedup < speedup_floor:

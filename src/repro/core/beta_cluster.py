@@ -29,7 +29,12 @@ import numpy as np
 
 from repro import obs
 from repro.core.contracts import check_probability
-from repro.core.convolution import level_responses, overlap_rows
+from repro.core.convolution import (
+    convolve_level,
+    level_responses,
+    overlap_mask,
+    overlap_rows,
+)
 from repro.core.counting_tree import CountingTree
 from repro.core.hypothesis_test import (
     neighborhood_counts,
@@ -271,3 +276,51 @@ def _search_pass(state: _SearchState, alpha: float) -> BetaCluster | None:
             relevances=relevances,
         )
     return None
+
+
+def reference_find_beta_clusters(
+    tree: CountingTree, alpha: float
+) -> list[BetaCluster]:
+    """The seed β-cluster search (reference path).
+
+    Full masked argmax per level per restart and full-level overlap
+    masks per found box — the pre-optimisation Algorithm 2 loop, kept
+    as the timing and equivalence reference for
+    :func:`find_beta_clusters`.
+    """
+    responses = {h: level_responses(tree.level(h)) for h in tree.levels if h >= 2}
+    excluded = {
+        h: np.zeros(tree.level(h).n_cells, dtype=bool)
+        for h in tree.levels
+        if h >= 2
+    }
+    found: list[BetaCluster] = []
+    while True:
+        new_cluster: BetaCluster | None = None
+        for h in tree.levels:
+            if h < 2:
+                continue
+            level = tree.level(h)
+            row = convolve_level(tree, h, responses[h], excluded[h])
+            if row < 0:
+                continue
+            level.used[row] = True
+            counts = neighborhood_counts(tree, h, row)
+            if not np.any(significant_axes(counts, alpha)):
+                continue
+            relevances = counts.relevances()
+            threshold = mdl_cut_threshold(relevances)
+            relevant = relevances >= threshold
+            lower, upper = _grow_bounds(tree, h, row, relevant)
+            new_cluster = BetaCluster(
+                lower=lower, upper=upper, relevant=relevant,
+                level=h, center_row=row, relevances=relevances,
+            )
+            break
+        if new_cluster is None:
+            return found
+        found.append(new_cluster)
+        for h in excluded:
+            excluded[h] |= overlap_mask(
+                tree.level(h), new_cluster.lower, new_cluster.upper
+            )

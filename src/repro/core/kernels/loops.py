@@ -1,12 +1,13 @@
-"""Loop-form kernel bodies shared by the compiled backends.
+"""The executable Python spec of the C kernels.
 
-Every function here is written in the restricted, ``nopython``-jittable
-dialect — flat ``for`` loops over contiguous int64/float64 buffers, no
-helper calls, no Python objects — so the numba backend can compile them
-unchanged (``numba.njit(cache=True)`` over these exact functions) while
-the test suite exercises the *same* bodies interpreted, keeping the
-compiled semantics covered even on machines without numba.  The C
-backend mirrors these algorithms statement for statement.
+Every function here is the loop form of one hot-path kernel — flat
+``for`` loops over contiguous int64/float64 buffers, no helper calls,
+no Python objects — and the C backend (:mod:`repro.core.kernels.cext_backend`)
+transliterates it statement for statement.  Nothing dispatches here in
+production; the test suite runs these bodies interpreted as a
+pseudo-backend against the numpy oracle, and ``repro_analyze`` (A502,
+A503) checks that the C source defines the same kernels with the same
+guard band, so the spec, the C code and the oracle cannot drift apart.
 
 Three structural facts the kernels exploit:
 

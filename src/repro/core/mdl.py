@@ -43,9 +43,13 @@ def partition_cost(values: FloatArray) -> float:
 def mdl_cut_position(sorted_values: FloatArray) -> int:
     """Best cut position ``p`` (1-based, ``1 <= p <= d``).
 
-    The right partition starts at (0-based) index ``p - 1``.  Ties are
-    broken towards the smallest ``p`` (more axes relevant), which keeps
-    the procedure deterministic.
+    The right partition starts at (0-based) index ``p - 1``.  Only cuts
+    at the start of a run of equal values are considered: the cut is
+    applied as the threshold ``r >= o[p]``, which cannot split a run of
+    equal relevances, so a cut inside one would be scored for a
+    partition that is never used.  Ties in cost are broken towards the
+    smallest ``p`` (more axes relevant), which keeps the procedure
+    deterministic.
     """
     values = np.asarray(sorted_values, dtype=np.float64)
     d = values.size
@@ -56,6 +60,8 @@ def mdl_cut_position(sorted_values: FloatArray) -> int:
     best_p = 1
     best_cost = float("inf")
     for p in range(1, d + 1):
+        if p > 1 and values[p - 2] == values[p - 1]:
+            continue
         cost = partition_cost(values[: p - 1]) + partition_cost(values[p - 1 :])
         if cost < best_cost - 1e-12:
             best_cost = cost

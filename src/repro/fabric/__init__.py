@@ -20,9 +20,7 @@ offline tier).  Six pieces, each usable on its own:
 * :mod:`repro.fabric.faults` — the deterministic fault-injection
   harness (``REPRO_FAULTS``) the chaos tests drive.
 
-``experiments.runner`` wires these under ``run_suite``;
-``repro.resilience`` remains as a thin compatibility shim over this
-package.
+``experiments.runner`` wires these under ``run_suite``.
 """
 
 from repro.fabric.faults import (

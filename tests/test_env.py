@@ -119,9 +119,11 @@ class TestBackendFromEnv:
         assert backend_from_env() == "numpy"
 
     def test_unknown_backend_names_the_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fortran")
-        with pytest.raises(ValueError, match="REPRO_BACKEND.*'fortran'"):
-            backend_from_env()
+        # The second value names the deleted compiled backend.
+        for raw in ("fortran", "numba"):
+            monkeypatch.setenv("REPRO_BACKEND", raw)
+            with pytest.raises(ValueError, match=f"REPRO_BACKEND.*'{raw}'"):
+                backend_from_env()
 
 
 class TestContractsFromEnv:

@@ -54,6 +54,15 @@ class TestMdlCutPosition:
     def test_single_value(self):
         assert mdl_cut_position(np.array([42.0])) == 1
 
+    def test_never_cuts_inside_a_run_of_equal_values(self):
+        # Splitting the two 10s scores slightly cheaper than cutting
+        # between the modes, but the threshold r >= 10 would still mark
+        # both of them relevant; the cut must land at a run boundary.
+        values = np.array(
+            [10.0, 10.0, 70.0, 70.0, 70.0, 70.0, 81.0, 84.0, 85.0, 86.0]
+        )
+        assert mdl_cut_position(values) == 3
+
     # The low mode is kept tight (width 1 against a 59-unit gap) so the
     # between-modes cut always beats any within-mode cut under the MDL
     # cost; a wide low mode (e.g. 10..20) admits rare examples where

@@ -3,21 +3,24 @@
 The fast paths — aggregated Counting-tree construction, the
 incremental β-cluster search, and the parallel experiment runner —
 must be *bit-identical* to the straightforward implementations they
-replaced; these tests pin that contract.
+replaced; these tests pin that contract.  The last class pins where
+``scripts/perf_baseline.py`` writes its ledger, without running it.
 """
+
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.beta_cluster import BetaCluster, _grow_bounds, find_beta_clusters
-from repro.core.convolution import (
-    convolve_level,
-    level_responses,
-    overlap_mask,
-    overlap_rows,
+from repro.core.beta_cluster import (
+    find_beta_clusters,
+    reference_find_beta_clusters,
 )
+from repro.core.convolution import overlap_mask, overlap_rows
 from repro.core.counting_tree import (
     CountingTree,
     aggregate_levels,
@@ -25,8 +28,6 @@ from repro.core.counting_tree import (
     reference_levels,
     tree_from_levels,
 )
-from repro.core.hypothesis_test import neighborhood_counts, significant_axes
-from repro.core.mdl import mdl_cut_threshold
 from repro.data.synthetic import SyntheticDatasetSpec, generate_dataset
 from repro.experiments.runner import jobs_from_env, run_suite
 
@@ -73,47 +74,6 @@ class TestAggregatedBuildEquivalence:
             np.testing.assert_array_equal(tree.level(h).n, reference.level(h).n)
 
 
-def _seed_search(tree, alpha):
-    """The pre-optimisation Algorithm 2 loop: full masked argmax per
-    level per restart, full-level overlap masks per found box."""
-    responses = {h: level_responses(tree.level(h)) for h in tree.levels if h >= 2}
-    excluded = {
-        h: np.zeros(tree.level(h).n_cells, dtype=bool)
-        for h in tree.levels
-        if h >= 2
-    }
-    found = []
-    while True:
-        new_cluster = None
-        for h in tree.levels:
-            if h < 2:
-                continue
-            level = tree.level(h)
-            row = convolve_level(tree, h, responses[h], excluded[h])
-            if row < 0:
-                continue
-            level.used[row] = True
-            counts = neighborhood_counts(tree, h, row)
-            if not np.any(significant_axes(counts, alpha)):
-                continue
-            relevances = counts.relevances()
-            threshold = mdl_cut_threshold(relevances)
-            relevant = relevances >= threshold
-            lower, upper = _grow_bounds(tree, h, row, relevant)
-            new_cluster = BetaCluster(
-                lower=lower, upper=upper, relevant=relevant,
-                level=h, center_row=row, relevances=relevances,
-            )
-            break
-        if new_cluster is None:
-            return found
-        found.append(new_cluster)
-        for h in excluded:
-            excluded[h] |= overlap_mask(
-                tree.level(h), new_cluster.lower, new_cluster.upper
-            )
-
-
 class TestIncrementalSearchEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_seed_search(self, seed):
@@ -132,7 +92,7 @@ class TestIncrementalSearchEquivalence:
         incremental_tree = CountingTree(dataset.points, n_resolutions=5)
         seed_tree = CountingTree(dataset.points, n_resolutions=5)
         fast = find_beta_clusters(incremental_tree, alpha=1e-10)
-        slow = _seed_search(seed_tree, alpha=1e-10)
+        slow = reference_find_beta_clusters(seed_tree, alpha=1e-10)
         assert len(fast) == len(slow)
         for a, b in zip(fast, slow):
             np.testing.assert_array_equal(a.lower, b.lower)
@@ -202,3 +162,43 @@ class TestParallelRunnerDeterminism:
             track_memory=False,
         )
         assert self._stable(parallel) == self._stable(serial)
+
+
+@pytest.fixture(scope="module")
+def perf_baseline():
+    """``scripts/perf_baseline.py`` loaded as a module (no arm runs)."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "perf_baseline.py"
+    spec = importlib.util.spec_from_file_location("perf_baseline", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPerfBaselineOutput:
+    """A quick run must never overwrite the committed full-profile ledger."""
+
+    def test_quick_profile_defaults_to_the_build_dir(self, perf_baseline):
+        root = perf_baseline.REPO_ROOT
+        assert perf_baseline.default_output(quick=False) == root / "BENCH_core.json"
+        assert perf_baseline.default_output(quick=True) == (
+            root / ".bench_build" / "BENCH_core.quick.json"
+        )
+
+    def test_new_merge_records_the_run_profile(self, perf_baseline, tmp_path):
+        rows = {"serve/h4_d8_eta8000": {"save_seconds": 0.5}}
+        payload = perf_baseline.merge_serve_workloads(
+            tmp_path / "new.json", rows, "quick"
+        )
+        assert payload["profile"] == "quick"
+        assert payload["workloads"] == rows
+
+    def test_merge_replaces_only_serve_rows(self, perf_baseline, tmp_path):
+        output = tmp_path / "ledger.json"
+        output.write_text(json.dumps({
+            "profile": "full",
+            "workloads": {"fit/x": {"seconds": 1.0}, "serve/old": {}},
+        }))
+        rows = {"serve/new": {"save_seconds": 0.5}}
+        payload = perf_baseline.merge_serve_workloads(output, rows, "full")
+        assert payload["profile"] == "full"
+        assert payload["workloads"] == {"fit/x": {"seconds": 1.0}, **rows}
