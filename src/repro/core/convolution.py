@@ -32,9 +32,8 @@ def level_responses(level: Level) -> IntArray:
     """Convolved value of every cell at ``level`` (static per tree).
 
     Delegates to the active compute backend
-    (:func:`repro.core.kernels.active_backend`): the kernel produces
-    responses in key order over the level's structure-of-arrays view
-    and the result is scattered back into row order.  Empty neighbours
+    (:func:`repro.core.kernels.active_backend`), which reads the
+    level's key-ordered rows directly.  Empty neighbours
     (unmaterialised space or the grid border) contribute zero, like
     zero-padding a convolution; every backend is bit-identical here.
     """
@@ -43,11 +42,7 @@ def level_responses(level: Level) -> IntArray:
     obs.incr("convolution.cells", m)
     obs.incr(f"convolution.level{level.h}.responses")
     obs.incr(f"search.level{level.h}.cells_visited", m)
-    soa = level.soa()
-    backend = kernels.active_backend()
-    key_ordered = backend.level_responses(soa)
-    result: IntArray = soa.to_row_order(key_ordered)
-    return result
+    return kernels.active_backend().level_responses(level)
 
 
 def cell_bounds(level: Level) -> tuple[FloatArray, FloatArray]:
@@ -79,7 +74,7 @@ def overlap_rows(
     * an axis whose box bounds span all of ``[0, 1]`` (every irrelevant
       axis) can never reject a cell, so the per-axis predicate runs
       only over *binding* axes — the handful the MDL cut kept;
-    * the sorted-key order is lexicographic, so when axis 0 binds, a
+    * the rows are in lexicographic key order, so when axis 0 binds, a
       ``searchsorted`` over the axis-0 coordinate column bounds the
       candidate rows to the box's axis-0 cell range (with one cell of
       slack so the exact closed comparison stays authoritative).
@@ -101,20 +96,17 @@ def overlap_rows(
     if not np.any(binding):
         return np.arange(level.n_cells, dtype=np.int64)
 
-    soa = level.soa()
     if binding[0]:
         # Axis 0 binds: the key order is lexicographic, so its cells
-        # sit in one contiguous run of the sorted rows.
+        # sit in one contiguous run of the rows.
         axis0 = level.axis0_in_key_order()
         start = int(np.searchsorted(axis0, lo[0], side="left"))
         stop = int(np.searchsorted(axis0, hi[0], side="right"))
     else:
-        start, stop = 0, soa.n_cells
+        start, stop = 0, level.n_cells
     if start >= stop:
         return np.empty(0, dtype=np.int64)
-    backend = kernels.active_backend()
-    positions = backend.box_scan(soa, lo, hi, start, stop)
-    return soa.rows_of_positions(positions)
+    return kernels.active_backend().box_scan(level, lo, hi, start, stop)
 
 
 def convolve_level(

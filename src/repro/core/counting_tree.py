@@ -12,9 +12,9 @@ axis into ``2^h`` intervals of side ``1 / 2^h``; a cell stores
 Only non-empty cells are materialised, so each level holds at most
 ``η`` cells regardless of the ``O(2^{dh})`` nominal grid size — the
 paper's "linked list of cells per node" economy.  Levels are stored
-column-wise in numpy arrays with a hash index from cell coordinates to
-rows, giving O(1) cell and face-neighbour lookup, which phase two
-depends on.
+column-wise in numpy arrays, rows in ascending cell-key order, so a
+cell or face-neighbour lookup — which phase two depends on — is a
+binary search of the sorted keys, O(log m) per query.
 
 Construction is a single scan in the paper; here the points are binned
 once at half-resolution ``2^H``, grouped once into the cells of level
@@ -30,15 +30,14 @@ Two cell-key formats, each with one job: grouping sorts packed int64
 words (:func:`_cell_keys`, narrow and fast to compare), while the
 big-endian :func:`void_keys` are the ``Level`` lookup index and the
 model store's persisted key format.  Both order cells lexicographically
-by coordinate — the order the compiled kernels' merge-joins and the
+by coordinate — the order every ``Level``'s rows are in (checked at
+construction), and the one the compiled kernels' merge-joins and the
 β-search's lowest-row tie-break rely on.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -46,9 +45,6 @@ from scipy import sparse
 from repro import env, obs
 from repro.core.contracts import ContractError, check_array
 from repro.types import AnyArray, BoolArray, FloatArray, IntArray
-
-if TYPE_CHECKING:
-    from repro.core.kernels.soa import LevelSoA
 
 MIN_RESOLUTIONS = 3
 """Algorithm 1 requires ``H >= 3``."""
@@ -96,76 +92,64 @@ def void_keys(coords: IntArray) -> AnyArray:
     return big_endian.view(np.dtype((np.void, width))).ravel()
 
 
-@dataclass
 class Level:
-    """One resolution level of the Counting-tree.
+    """One resolution level of the Counting-tree, rows in key order.
 
     Attributes
     ----------
     h:
         Level number; cells have side ``1 / 2**h``.
     coords:
-        ``(m, d)`` integer cell coordinates (``floor(x * 2**h)``).
+        ``(m, d)`` integer cell coordinates (``floor(x * 2**h)``), rows
+        in strictly ascending lexicographic order.
     n:
         ``(m,)`` point count per cell.
     half_counts:
         ``(m, d)`` half-space counts (the paper's ``P[]``).
+    keys:
+        ``(m,)`` the rows' :func:`void_keys`, the sorted lookup index.
     used:
         ``(m,)`` the ``usedCell`` flags.
+
+    Row order is the invariant everything else leans on: the lookup
+    index is the rows' own keys (row ``i`` is sorted position ``i``),
+    the compiled kernels merge-join the ``coords`` rows directly, and
+    the β-search breaks ties on the lowest row.  Every tree builder
+    emits rows in this order; the constructor checks it, always on, and
+    raises :class:`ContractError` for a coordinate outside ``[0, 2^h)``
+    or a row not strictly above its predecessor (out of order or
+    duplicated).  ``keys`` may be passed in when they are at hand — the
+    model store persists them — which skips the repacking and keeps a
+    memmap-backed serving tree near-zero-copy; ``used`` defaults to a
+    fresh all-false array.
     """
 
-    h: int
-    coords: IntArray
-    n: IntArray
-    half_counts: IntArray
-    used: BoolArray
-    _sorted_keys: AnyArray | None = field(default=None, repr=False)
-    _sort_order: IntArray | None = field(default=None, repr=False)
-    _axis0_sorted: IntArray | None = field(default=None, repr=False)
-    _soa: LevelSoA | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self._sorted_keys is None:
-            keys = void_keys(self.coords)
-            self._sort_order = np.argsort(keys)
-            self._sorted_keys = keys[self._sort_order]
-        assert self._sort_order is not None
-
-    @classmethod
-    def from_key_sorted(
-        cls,
+    def __init__(
+        self,
         h: int,
         coords: IntArray,
         n: IntArray,
         half_counts: IntArray,
         keys: AnyArray | None = None,
         used: BoolArray | None = None,
-    ) -> "Level":
-        """Wrap arrays already in canonical key order as a ``Level``.
-
-        The lookup index is the identity permutation, so no argsort (and
-        no copy of ``coords``) happens; when ``keys`` is supplied — e.g.
-        the packed keys persisted inside a model file, possibly a
-        read-only memmap — not even the key repacking runs, which is
-        what keeps a memmap-backed serving tree near-zero-copy.  Rows
-        out of key order would silently corrupt every lookup, so
-        callers must hold the canonical-order invariant (every tree
-        builder and the model store do).
-        """
-        m = int(coords.shape[0])
-        return cls(
-            h=h,
-            coords=coords,
-            n=n,
-            half_counts=half_counts,
-            used=(
-                used
-                if used is not None
-                else np.zeros(m, dtype=bool)
-            ),
-            _sorted_keys=keys if keys is not None else void_keys(coords),
-            _sort_order=np.arange(m, dtype=np.int64),
+    ):
+        _check_cell_coords(coords, h)
+        row = _first_unordered_row(_cell_keys(coords, h), coords.shape[0])
+        if row >= 0:
+            raise ContractError(
+                f"level-{h} rows must be in strictly ascending key order; "
+                f"row {row} {coords[row].tolist()} does not follow row "
+                f"{row - 1} {coords[row - 1].tolist()}"
+            )
+        self.h = h
+        self.coords = coords
+        self.n = n
+        self.half_counts = half_counts
+        self.keys = keys if keys is not None else void_keys(coords)
+        self.used = (
+            used if used is not None else np.zeros(coords.shape[0], dtype=bool)
         )
+        self._axis0: IntArray | None = None
 
     @property
     def n_cells(self) -> int:
@@ -177,61 +161,50 @@ class Level:
         """Cell side length ``ξ_h = 1 / 2**h``."""
         return 1.0 / (1 << self.h)
 
+    @property
+    def limit(self) -> int:
+        """Largest admissible coordinate at this level (``2**h - 1``)."""
+        return (1 << self.h) - 1
+
     def row_of(self, coords: IntArray) -> int:
         """Row index of the cell at ``coords``, or ``-1`` if empty."""
         rows = self.rows_of(np.asarray(coords).reshape(1, -1))
         return int(rows[0])
 
     def rows_of(self, coords: IntArray) -> IntArray:
-        """Vectorised cell lookup: one row index (or -1) per query row."""
+        """Vectorised cell lookup: one row index (or -1) per query row.
+
+        A binary search of the queries' keys in the sorted ``keys``.
+        """
         coords = np.asarray(coords)
         if coords.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        assert self._sorted_keys is not None and self._sort_order is not None
         queries = void_keys(coords)
-        positions = np.searchsorted(self._sorted_keys, queries)
-        positions = np.minimum(positions, self._sorted_keys.shape[0] - 1)
-        found = self._sorted_keys[positions] == queries
-        rows = np.where(found, self._sort_order[positions], -1)
-        return rows.astype(np.int64)
+        positions = np.searchsorted(self.keys, queries)
+        positions = np.minimum(positions, self.keys.shape[0] - 1)
+        found = self.keys[positions] == queries
+        return np.where(found, positions, -1).astype(np.int64)
 
     def axis0_in_key_order(self) -> IntArray:
-        """Axis-0 coordinates in sorted-key order (cached).
+        """The axis-0 coordinate column, contiguous (cached).
 
         The key order is lexicographic, so this column is
         non-decreasing; ``np.searchsorted`` on it bounds the rows whose
         axis-0 coordinate falls in a range — the index the incremental
-        β-cluster exclusion uses to avoid full-level scans.
+        β-cluster exclusion uses to avoid full-level scans.  Cached
+        because ``searchsorted`` would copy the strided column of
+        ``coords`` on every call.
         """
-        if self._axis0_sorted is None:
-            assert self._sort_order is not None
-            self._axis0_sorted = np.ascontiguousarray(
-                self.coords[self._sort_order, 0]
-            )
-        return self._axis0_sorted
-
-    def soa(self) -> LevelSoA:
-        """Key-sorted structure-of-arrays kernel view of this level.
-
-        Built lazily and cached; the level's own arrays are aliased
-        without copies when they are already in key order (true for
-        every tree builder in the package).
-        """
-        from repro.core.kernels.soa import level_soa
-
-        return level_soa(self)
-
-    def count_at(self, coords: IntArray) -> int:
-        """Point count of the cell at ``coords`` (0 for empty cells)."""
-        row = self.row_of(coords)
-        return int(self.n[row]) if row >= 0 else 0
+        if self._axis0 is None:
+            self._axis0 = np.ascontiguousarray(self.coords[:, 0])
+        return self._axis0
 
     def neighbor_rows(self, row: int, axis: int) -> tuple[int, int]:
         """Rows of the lower/upper face neighbours along ``axis`` (-1 if empty).
 
         Covers both the paper's *internal* and *external* neighbours:
-        the hash index does not care whether the neighbour lives in the
-        same tree node or a sibling node.
+        the sorted-key binary search does not care whether the
+        neighbour lives in the same tree node or a sibling node.
         """
         coords = self.coords[row].copy()
         original = coords[axis]
@@ -240,7 +213,7 @@ class Level:
             coords[axis] = original - 1
             lower = self.row_of(coords)
         upper = -1
-        if original < (1 << self.h) - 1:
+        if original < self.limit:
             coords[axis] = original + 1
             upper = self.row_of(coords)
         return lower, upper
@@ -440,13 +413,9 @@ def merge_level_arrays(
 
 
 def level_from_arrays(h: int, arrays: LevelArrays) -> Level:
-    """Wrap one key-sorted SoA aggregate as a ``Level``.
-
-    The rows are already in key order, so the lookup index is the
-    identity permutation and no argsort happens.
-    """
+    """Wrap one key-sorted SoA aggregate as a ``Level``."""
     cells, counts, halves = arrays
-    return Level.from_key_sorted(
+    return Level(
         h,
         np.ascontiguousarray(cells),
         np.ascontiguousarray(counts),
@@ -500,6 +469,24 @@ def _cell_keys(coords: IntArray, h: int) -> list[IntArray]:
         shifts = h * np.arange(fields.shape[1] - 1, -1, -1, dtype=np.int64)
         words.append(fields @ (np.int64(1) << shifts))
     return words
+
+
+def _first_unordered_row(words: list[IntArray], rows: int) -> int:
+    """First row whose packed key is not above its predecessor's, or -1.
+
+    ``words`` are the :func:`_cell_keys` of ``rows`` rows; rows compare
+    word by word, so a row is out of order where it falls below its
+    predecessor at the first differing word, and a duplicate where no
+    word differs.
+    """
+    bad = np.zeros(max(rows - 1, 0), dtype=bool)
+    tied = np.ones_like(bad)
+    for word in words:
+        before, after = word[:-1], word[1:]
+        bad |= tied & (before > after)
+        tied &= before == after
+    bad |= tied
+    return int(np.argmax(bad)) + 1 if bad.any() else -1
 
 
 def _sum_by_cell(
@@ -559,13 +546,7 @@ def _reference_build(base: IntArray, h: int, n_resolutions: int, d: int) -> Leve
     half_counts = np.zeros((cells.shape[0], d), dtype=np.int64)
     np.add.at(half_counts, inverse, (half_bits == 0).astype(np.int64))
 
-    return Level(
-        h=h,
-        coords=np.ascontiguousarray(cells),
-        n=counts,
-        half_counts=half_counts,
-        used=np.zeros(cells.shape[0], dtype=bool),
-    )
+    return Level(h, np.ascontiguousarray(cells), counts, half_counts)
 
 
 def reference_levels(

@@ -106,17 +106,14 @@ def neighborhood_counts(tree: CountingTree, h: int, row: int) -> NeighborhoodCou
     parent_row = tree.parent_row(h, row)
     bits = tree.loc_bits(h, row)
 
-    soa = parent_level.soa()
-    backend = kernels.active_backend()
-    center, total = backend.six_region(
-        soa, soa.position_of_row(parent_row), bits
+    center, total = kernels.active_backend().six_region(
+        parent_level, parent_row, bits
     )
     # Regions beyond the space border cannot receive points and are not
     # analyzed; an in-grid but empty neighbour still counts as two
     # analyzed (zero-count) regions.
     coords = parent_level.coords[parent_row]
-    parent_limit = (1 << parent_level.h) - 1
-    at_border = (coords == 0).astype(np.int64) + (coords == parent_limit)
+    at_border = (coords == 0).astype(np.int64) + (coords == parent_level.limit)
     probability = 1.0 / (6 - 2 * at_border)
     return NeighborhoodCounts(
         center=center,

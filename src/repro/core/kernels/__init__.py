@@ -3,8 +3,8 @@
 The three measured bottlenecks of a fit — the Laplacian convolution
 responses, the six-region binomial significance test, and the β-cluster
 box-exclusion scan — run through one of two interchangeable backends,
-both operating on the structure-of-arrays level views of
-:mod:`repro.core.kernels.soa`:
+both operating directly on a :class:`~repro.core.counting_tree.Level`,
+whose rows are in canonical key order:
 
 ``numpy``
     The vectorised reference implementation and the reproduction's
@@ -36,19 +36,17 @@ from typing import Callable, Protocol
 import numpy as np
 
 from repro import env
+from repro.core.counting_tree import Level
 from repro.core.kernels import cext_backend, reference
-from repro.core.kernels.soa import LevelSoA, level_soa
 from repro.types import FloatArray, IntArray
 
 __all__ = [
     "Backend",
     "BackendUnavailableError",
-    "LevelSoA",
     "active_backend",
     "available_backends",
     "backend_info",
     "get_backend",
-    "level_soa",
     "reset_backends",
     "warm_up",
 ]
@@ -60,7 +58,7 @@ class BackendUnavailableError(RuntimeError):
 
 class _SixRegionKernel(Protocol):
     def __call__(
-        self, soa: LevelSoA, position: int, bits: IntArray
+        self, level: Level, row: int, bits: IntArray
     ) -> tuple[IntArray, IntArray]: ...
 
 
@@ -77,8 +75,8 @@ class Backend:
     name: str
     compiled: bool
     version: str
-    level_responses: Callable[[LevelSoA], IntArray]
-    box_scan: Callable[[LevelSoA, IntArray, IntArray, int, int], IntArray]
+    level_responses: Callable[[Level], IntArray]
+    box_scan: Callable[[Level, IntArray, IntArray, int, int], IntArray]
     six_region: _SixRegionKernel
     binom_thetas: _BinomThetasKernel
 
@@ -200,24 +198,21 @@ def warm_up(backend: Backend) -> None:
     Benchmarks call this before timing so one-off compilation cost is
     reported separately instead of polluting the measured runs.
     """
-    from repro.core.counting_tree import void_keys
-
-    coords = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int64)
-    counts = np.array([2, 3, 4], dtype=np.int64)
-    half = np.array([[1, 1], [2, 1], [2, 2]], dtype=np.int64)
-    soa = LevelSoA(
-        h=1, coords=coords, counts=counts, half_counts=half,
-        order=None, keys=void_keys(coords),
+    level = Level(
+        1,
+        np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int64),
+        np.array([2, 3, 4], dtype=np.int64),
+        np.array([[1, 1], [2, 1], [2, 2]], dtype=np.int64),
     )
-    backend.level_responses(soa)
+    backend.level_responses(level)
     backend.box_scan(
-        soa,
+        level,
         np.zeros(2, dtype=np.int64),
         np.ones(2, dtype=np.int64),
         0,
         3,
     )
-    backend.six_region(soa, 1, np.array([0, 1], dtype=np.int64))
+    backend.six_region(level, 1, np.array([0, 1], dtype=np.int64))
     backend.binom_thetas(
         np.array([30, 0], dtype=np.int64),
         np.array([1.0 / 6.0, 1.0 / 6.0], dtype=np.float64),

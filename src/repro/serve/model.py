@@ -29,13 +29,18 @@ import numpy as np
 
 from repro import obs
 from repro.core.beta_cluster import BetaCluster
-from repro.core.contracts import check_array, check_labels
+from repro.core.contracts import ContractError, check_array, check_labels
 from repro.core.correlation_cluster import label_points, merge_beta_clusters
 from repro.core.counting_tree import CountingTree, Level, tree_from_levels
 from repro.core.mrcc import MrCC
 from repro.core.streaming import assemble_result
 from repro.data.normalize import apply_minmax
-from repro.serve.store import ModelFormatError, read_model, write_model
+from repro.serve.store import (
+    ModelFormatError,
+    read_model,
+    release_pages,
+    write_model,
+)
 from repro.types import ClusteringResult, FloatArray, IntArray
 
 __all__ = [
@@ -207,14 +212,15 @@ def save_model(model: FittedModel | MrCC, path: str | Path) -> Path:
         ]
     )
     for h in sorted(model.levels):
-        soa = model.levels[h].soa()
-        keys = np.asarray(soa.keys)
-        arrays.append((f"level{h}/coords", soa.coords.astype("<i8", copy=False)))
-        arrays.append((f"level{h}/counts", soa.counts.astype("<i8", copy=False)))
+        level = model.levels[h]
         arrays.append(
-            (f"level{h}/half_counts", soa.half_counts.astype("<i8", copy=False))
+            (f"level{h}/coords", level.coords.astype("<i8", copy=False))
         )
-        arrays.append((f"level{h}/keys", keys))
+        arrays.append((f"level{h}/counts", level.n.astype("<i8", copy=False)))
+        arrays.append(
+            (f"level{h}/half_counts", level.half_counts.astype("<i8", copy=False))
+        )
+        arrays.append((f"level{h}/keys", np.asarray(level.keys)))
 
     with obs.span("serve.save"):
         write_model(path, model.meta, arrays)
@@ -246,7 +252,8 @@ def load_model(path: str | Path, mmap: bool = True) -> FittedModel:
     loaded β-clusters, never trusted from the header.
 
     Raises :class:`~repro.serve.store.ModelFormatError` on any missing,
-    corrupt, truncated or version-skewed file.
+    corrupt, truncated or version-skewed file, including one whose
+    level rows are out of key order or duplicated.
     """
     path = Path(path)
     with obs.span("serve.load"):
@@ -273,6 +280,9 @@ def load_model(path: str | Path, mmap: bool = True) -> FittedModel:
 
         betas = _betas_from_arrays(path, data, n_betas, d)
         levels = _levels_from_arrays(path, data, n_resolutions, d)
+        # Checking the levels' key order read every row; hand the
+        # pages back so a mapped load stays near-zero resident.
+        release_pages(levels[1].coords)
         normalizer = None
         if meta["normalize"]:
             lo, span = data["norm/lo"], data["norm/span"]
@@ -387,5 +397,10 @@ def _levels_from_arrays(
                 f"{path}: level{h} stores zero cells (a fitted tree "
                 f"always has at least one populated cell per level)"
             )
-        levels[h] = Level.from_key_sorted(h, coords, counts, halves, keys=keys)
+        try:
+            levels[h] = Level(h, coords, counts, halves, keys=keys)
+        except ContractError as error:
+            raise ModelFormatError(
+                f"{path}: level{h} is not a key-ordered cell set: {error}"
+            ) from error
     return levels

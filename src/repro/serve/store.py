@@ -37,6 +37,7 @@ enforces the funnel).
 from __future__ import annotations
 
 import json
+import mmap
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -48,6 +49,7 @@ __all__ = [
     "ArraySection",
     "ModelFormatError",
     "read_model",
+    "release_pages",
     "write_model",
 ]
 
@@ -333,3 +335,18 @@ def read_model(
             f"{path}: model file unreadable ({error.__class__.__name__}: "
             f"{error})"
         ) from error
+
+
+def release_pages(array: np.ndarray) -> None:
+    """Drop a mapped model file's pages from this process's resident set.
+
+    Reading memmapped sections faults their pages into the process, and
+    there they stay, counted against every serving worker.
+    ``MADV_DONTNEED`` on the read-only shared mapping unmaps them from
+    this process only: the bytes stay in the page cache, every view
+    stays valid, and the next access faults the pages back in.  A no-op
+    for an array that is not a view of a mapping.
+    """
+    mapping = getattr(array, "_mmap", None)
+    if mapping is not None:
+        mapping.madvise(mmap.MADV_DONTNEED)

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from repro.core.contracts import ContractError
 from repro.core.counting_tree import (
     CountingTree,
+    Level,
     bin_points,
     level_arrays,
     merge_level_arrays,
@@ -166,6 +167,61 @@ class TestVoidKeys:
         assert np.array_equal(rows, np.arange(level.n_cells))
         missing = level.rows_of(np.full((1, 3), 3, dtype=np.int64) + 10)
         assert missing[0] == -1
+
+
+def _level(h, coords):
+    coords = np.asarray(coords, dtype=np.int64)
+    m, d = coords.shape
+    return Level(
+        h,
+        coords,
+        np.ones(m, dtype=np.int64),
+        np.zeros((m, d), dtype=np.int64),
+    )
+
+
+class TestLevelKeyOrder:
+    """A ``Level``'s rows must be in strictly ascending key order."""
+
+    def test_key_ordered_rows_are_accepted(self):
+        level = _level(2, [[0, 3], [1, 0], [1, 2], [3, 3]])
+        assert level.n_cells == 4
+        assert level.limit == 3
+        assert not level.used.any()
+        rows = level.rows_of(level.coords)
+        assert rows.tolist() == [0, 1, 2, 3]
+
+    def test_out_of_order_rows_are_rejected(self):
+        # The rows of a valid level permuted [2, 0, 3, 1]: lookups
+        # through the sorted keys would miss 3 of the 4 cells.
+        coords = np.array([[0, 3], [1, 0], [1, 2], [3, 3]])[[2, 0, 3, 1]]
+        with pytest.raises(ContractError, match="ascending key order"):
+            _level(2, coords)
+
+    def test_duplicate_rows_are_rejected(self):
+        with pytest.raises(ContractError, match=r"row 2 \[1, 2\]"):
+            _level(2, [[0, 3], [1, 2], [1, 2], [3, 3]])
+
+    def test_order_decided_by_a_trailing_key_word(self):
+        # h=32 packs one axis per int64 word, so these rows tie on the
+        # first word and differ only in the later ones.
+        top = (1 << 32) - 1
+        _level(32, [[top, 4, top], [top, 5, 0]])
+        with pytest.raises(ContractError, match="ascending key order"):
+            _level(32, [[top, 5, 0], [top, 4, top]])
+        with pytest.raises(ContractError, match="ascending key order"):
+            _level(32, [[top, 5, 0], [top, 5, 0]])
+
+    def test_coordinates_outside_the_level_grid_are_rejected(self):
+        with pytest.raises(ContractError, match=r"\[0, 2\*\*2\)"):
+            _level(2, [[0, 4]])
+
+    def test_check_stays_on_with_contracts_disabled(self):
+        from repro.core import contracts
+
+        with contracts.disabled():
+            with pytest.raises(ContractError, match="ascending key order"):
+                _level(2, [[1, 0], [0, 3]])
 
 
 class TestUint32KeyGuard:

@@ -63,13 +63,22 @@ class TestMdlCutPosition:
         )
         assert mdl_cut_position(values) == 3
 
-    # The low mode is kept tight (width 1 against a 59-unit gap) so the
+    def test_splits_a_bimodal_high_mode(self):
+        # A wide high mode can itself be bimodal: 70 against three 84s
+        # costs 23.196 bits cut at p=3 and 23.321 bits between the
+        # modes at p=2, so MDL rightly leaves 70 out of the relevant
+        # partition.  This is why the property below keeps both modes
+        # tight.
+        values = np.array([10.0, 70.0, 84.0, 84.0, 84.0])
+        assert mdl_cut_position(values) == 3
+
+    # Both modes are kept tight (width 1 against a 59-unit gap) so the
     # between-modes cut always beats any within-mode cut under the MDL
-    # cost; a wide low mode (e.g. 10..20) admits rare examples where
-    # splitting the low mode itself is genuinely cheaper.
+    # cost; a wide mode (e.g. 10..20 or 70..90) admits rare examples
+    # where splitting that mode itself is genuinely cheaper.
     @given(
         low=st.lists(st.floats(10.0, 11.0), min_size=1, max_size=8),
-        high=st.lists(st.floats(70.0, 90.0), min_size=1, max_size=8),
+        high=st.lists(st.floats(70.0, 71.0), min_size=1, max_size=8),
     )
     @settings(max_examples=40, deadline=None)
     def test_bimodal_arrays_cut_between_modes(self, low, high):

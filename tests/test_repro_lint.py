@@ -338,7 +338,7 @@ class TestR011CtypesImports:
     BAD_SUBMODULE = "import ctypes.util\n"
     BAD_FROM_SUBMODULE = "from ctypes.util import find_library\n"
     CEXT_PATH = "src/repro/core/kernels/cext_backend.py"
-    KERNELS_PATH = "src/repro/core/kernels/soa.py"
+    KERNELS_PATH = "src/repro/core/kernels/reference.py"
 
     def test_plain_import_fires(self):
         assert codes(self.BAD_IMPORT, path=CORE_PATH) == ["R011"]

@@ -48,7 +48,7 @@ from repro.serve import (
     model_from_estimator,
     save_model,
 )
-from repro.serve.store import write_model
+from repro.serve.store import read_model, release_pages, write_model
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -222,6 +222,30 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             level.coords[0, 0] = 99
 
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmRSS"
+    )
+    def test_release_pages_drops_mapped_pages_only(self, tmp_path):
+        def rss_mb() -> float:
+            for line in Path("/proc/self/status").read_text().splitlines():
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1]) / 1024
+            raise AssertionError("no VmRSS line")
+
+        path = tmp_path / "big.model"
+        rows = 4 << 20  # 32 MB of int64
+        write_model(path, {"k": 1}, [("x", np.ones(rows, dtype="<i8"))])
+        _, data = read_model(path, mmap=True)
+        mapped = data["x"]
+        assert int(mapped.sum()) == rows  # faults every page in
+        touched = rss_mb()
+        release_pages(mapped)
+        assert rss_mb() < touched - 16
+        assert int(mapped.sum()) == rows  # the view is still valid
+        private = np.ones(8)
+        release_pages(private)
+        assert int(private.sum()) == 8
+
 
 def _raw_model(path: Path, header: dict, data: bytes) -> Path:
     """Hand-assemble a model file for format-violation tests."""
@@ -356,8 +380,6 @@ class TestFailurePaths:
             load_model(path)
 
     def test_model_missing_level_arrays(self, small_model_path, tmp_path):
-        from repro.serve.store import read_model
-
         header, data = read_model(small_model_path, mmap=False)
         dropped = {
             name: array
@@ -368,6 +390,31 @@ class TestFailurePaths:
         write_model(path, header["meta"], sorted(dropped.items()))
         with pytest.raises(ModelFormatError, match="missing"):
             load_model(path)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize(
+        "defect, rows",
+        [("permuted", [2, 0, 3, 1]), ("duplicated", [0, 0, 2, 3])],
+    )
+    def test_level_rows_out_of_key_order(
+        self, small_model_path, tmp_path, defect, rows, mmap
+    ):
+        # Every array of one level rewritten consistently, so only the
+        # row order is wrong; lookups through the sorted keys would
+        # silently miss cells.
+        header, data = read_model(small_model_path, mmap=False)
+        h = header["meta"]["n_resolutions"] - 1
+        assert data[f"level{h}/coords"].shape[0] >= 4
+        for column in ("coords", "counts", "half_counts", "keys"):
+            array = data[f"level{h}/{column}"].copy()
+            array[:4] = array[rows]
+            data[f"level{h}/{column}"] = array
+        path = tmp_path / f"{defect}.model"
+        write_model(path, header["meta"], list(data.items()))
+        with pytest.raises(
+            ModelFormatError, match=rf"{defect}\.model: level{h} .*key order"
+        ):
+            load_model(path, mmap=mmap)
 
     def test_cache_rejects_path_escapes(self, tmp_path):
         cache = ModelCache(root=tmp_path)
