@@ -26,11 +26,12 @@ kept as :func:`_reference_build` for the equivalence tests and the perf
 baseline): each point still contributes one count to every level and
 one half-space count per axis, exactly as Algorithm 1 lines 4-10.
 
-Two cell-key formats, each with one job: grouping sorts packed int64
-words (:func:`_cell_keys`, narrow and fast to compare), while the
-big-endian :func:`void_keys` are the ``Level`` lookup index and the
-model store's persisted key format.  Both order cells lexicographically
-by coordinate — the order every ``Level``'s rows are in (checked at
+One cell-key format: each level's coordinates are packed into int64
+words (:func:`_cell_keys`) of whole ``h``-bit fields with the sign bit
+clear, so comparing the words in order compares the coordinates
+lexicographically.  Grouping sorts the words; ``Level`` keeps them, as
+one big-endian void row per cell, as its sorted lookup index.  That
+order is the one every ``Level``'s rows are in (checked at
 construction), and the one the compiled kernels' merge-joins and the
 β-search's lowest-row tie-break rely on.
 """
@@ -50,11 +51,9 @@ MIN_RESOLUTIONS = 3
 """Algorithm 1 requires ``H >= 3``."""
 
 MAX_RESOLUTIONS = 32
-"""Coordinates at the finest half-resolution ``2^H`` must fit the
-``uint32`` key packing of :func:`void_keys`, bounding ``H`` at 32."""
-
-_KEY_COORD_MAX = (1 << 32) - 1
-"""Largest coordinate the big-endian ``>u4`` key packing can hold."""
+"""Largest supported ``H``: binning scales float64 points by ``2**H``,
+and every ``h``-bit key field must fit one packed int64 word; 32 keeps
+both far inside their limits."""
 
 SHARD_MIN_POINTS = 200_000
 """Below this many points the env-driven sharded build stays serial:
@@ -62,34 +61,12 @@ the process fan-out costs more than the binning it parallelises.  An
 explicit ``n_jobs`` argument overrides the floor."""
 
 
-def void_keys(coords: IntArray) -> AnyArray:
-    """Encode coordinate rows as comparable fixed-size binary keys.
-
-    Big-endian unsigned encoding makes the bytewise comparison of the
-    void view coincide with lexicographic numeric order, so the keys
-    support ``np.searchsorted`` joins — the vectorised equivalent of a
-    per-cell hash lookup.
-
-    The ``>u4`` packing holds coordinates in ``[0, 2**32)``; anything
-    outside would wrap silently and alias distinct cells, so the range
-    is enforced here with a :class:`ContractError` (always on — a wrong
-    key is a wrong clustering, not a slow one).
-    """
-    coords = np.ascontiguousarray(coords)
-    if coords.size and (
-        int(coords.min()) < 0 or int(coords.max()) > _KEY_COORD_MAX
-    ):
-        raise ContractError(
-            f"coords must lie in [0, {_KEY_COORD_MAX}] to fit the uint32 "
-            f"key packing (observed range [{int(coords.min())}, "
-            f"{int(coords.max())}]); Counting-trees support "
-            f"n_resolutions <= {MAX_RESOLUTIONS}"
-        )
-    # int64 -> >u4 narrows on purpose: the range guard above makes the
-    # cast lossless for every representable cell coordinate.
-    big_endian = np.ascontiguousarray(coords.astype(">u4"))
-    width = big_endian.shape[1] * big_endian.dtype.itemsize
-    return big_endian.view(np.dtype((np.void, width))).ravel()
+def check_resolutions(n_resolutions: int) -> None:
+    """Reject an ``H`` outside ``[MIN_RESOLUTIONS, MAX_RESOLUTIONS]``."""
+    if n_resolutions < MIN_RESOLUTIONS:
+        raise ValueError(f"n_resolutions must be >= {MIN_RESOLUTIONS}")
+    if n_resolutions > MAX_RESOLUTIONS:
+        raise ContractError(f"n_resolutions must be <= {MAX_RESOLUTIONS}")
 
 
 class Level:
@@ -107,7 +84,8 @@ class Level:
     half_counts:
         ``(m, d)`` half-space counts (the paper's ``P[]``).
     keys:
-        ``(m,)`` the rows' :func:`void_keys`, the sorted lookup index.
+        ``(m,)`` the rows' packed :func:`_cell_keys`, one big-endian
+        ``|V{8w}`` row per cell for ``w`` words, the sorted lookup index.
     used:
         ``(m,)`` the ``usedCell`` flags.
 
@@ -115,13 +93,11 @@ class Level:
     index is the rows' own keys (row ``i`` is sorted position ``i``),
     the compiled kernels merge-join the ``coords`` rows directly, and
     the β-search breaks ties on the lowest row.  Every tree builder
-    emits rows in this order; the constructor checks it, always on, and
-    raises :class:`ContractError` for a coordinate outside ``[0, 2^h)``
-    or a row not strictly above its predecessor (out of order or
-    duplicated).  ``keys`` may be passed in when they are at hand — the
-    model store persists them — which skips the repacking and keeps a
-    memmap-backed serving tree near-zero-copy; ``used`` defaults to a
-    fresh all-false array.
+    emits rows in this order; the constructor packs the keys once,
+    checks the order on them, always on, and raises
+    :class:`ContractError` for a coordinate outside ``[0, 2^h)`` or a
+    row not strictly above its predecessor (out of order or
+    duplicated).  ``used`` defaults to a fresh all-false array.
     """
 
     def __init__(
@@ -130,11 +106,11 @@ class Level:
         coords: IntArray,
         n: IntArray,
         half_counts: IntArray,
-        keys: AnyArray | None = None,
         used: BoolArray | None = None,
     ):
         _check_cell_coords(coords, h)
-        row = _first_unordered_row(_cell_keys(coords, h), coords.shape[0])
+        words = _cell_keys(coords, h)
+        row = _first_unordered_row(words, coords.shape[0])
         if row >= 0:
             raise ContractError(
                 f"level-{h} rows must be in strictly ascending key order; "
@@ -145,7 +121,7 @@ class Level:
         self.coords = coords
         self.n = n
         self.half_counts = half_counts
-        self.keys = keys if keys is not None else void_keys(coords)
+        self.keys = _key_rows(words)
         self.used = (
             used if used is not None else np.zeros(coords.shape[0], dtype=bool)
         )
@@ -174,15 +150,25 @@ class Level:
     def rows_of(self, coords: IntArray) -> IntArray:
         """Vectorised cell lookup: one row index (or -1) per query row.
 
-        A binary search of the queries' keys in the sorted ``keys``.
+        A binary search of the queries' packed keys in the sorted
+        ``keys``.  A query with a coordinate outside ``[0, 2^h)`` is a
+        miss (its packed key could alias another cell's); one with the
+        wrong number of axes raises ``ValueError``.
         """
         coords = np.asarray(coords)
+        d = self.coords.shape[1]
+        if coords.ndim != 2 or coords.shape[1] != d:
+            raise ValueError(
+                f"level-{self.h} lookups need (k, {d}) coordinate rows, "
+                f"got shape {coords.shape}"
+            )
         if coords.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        queries = void_keys(coords)
+        queries = _key_rows(_cell_keys(coords, self.h))
         positions = np.searchsorted(self.keys, queries)
         positions = np.minimum(positions, self.keys.shape[0] - 1)
         found = self.keys[positions] == queries
+        found &= np.all((coords >= 0) & (coords <= self.limit), axis=1)
         return np.where(found, positions, -1).astype(np.int64)
 
     def axis0_in_key_order(self) -> IntArray:
@@ -260,14 +246,7 @@ class CountingTree:
         check_array("points", points, dtype=np.float64, ndim=2, unit_box=True)
         if points.shape[0] == 0:
             raise ValueError("cannot build a Counting-tree over zero points")
-        if n_resolutions < MIN_RESOLUTIONS:
-            raise ValueError(f"n_resolutions must be >= {MIN_RESOLUTIONS}")
-        if n_resolutions > MAX_RESOLUTIONS:
-            raise ContractError(
-                f"n_resolutions must be <= {MAX_RESOLUTIONS}: level "
-                f"coordinates reach 2**n_resolutions - 1 and must fit "
-                f"the uint32 cell-key packing"
-            )
+        check_resolutions(n_resolutions)
         if n_jobs is not None and n_jobs < 1:
             raise ValueError("n_jobs must be a positive worker count")
 
@@ -469,6 +448,19 @@ def _cell_keys(coords: IntArray, h: int) -> list[IntArray]:
         shifts = h * np.arange(fields.shape[1] - 1, -1, -1, dtype=np.int64)
         words.append(fields @ (np.int64(1) << shifts))
     return words
+
+
+def _key_rows(words: list[IntArray]) -> AnyArray:
+    """The :func:`_cell_keys` words as one big-endian ``|V{8w}`` row per cell.
+
+    The words' sign bits are clear, so comparing these bytes compares
+    the words in order — the lexicographic coordinate order
+    ``np.searchsorted`` needs.
+    """
+    rows = np.empty((words[0].shape[0], len(words)), dtype=">i8")
+    for column, word in enumerate(words):
+        rows[:, column] = word
+    return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
 
 
 def _first_unordered_row(words: list[IntArray], rows: int) -> int:

@@ -32,19 +32,15 @@ def level_responses(level: Level) -> IntArray:
     responses = (2 * d) * level.n.astype(np.int64)
     if m <= 1:
         return responses
-    limit = level.limit
     shifted = level.coords.copy()
     for axis in range(d):
         column = level.coords[:, axis]
         for delta in (-1, 1):
+            # A neighbour off the grid is a miss of the lookup.
             shifted[:, axis] = column + delta
-            valid = (shifted[:, axis] >= 0) & (shifted[:, axis] <= limit)
-            if not np.any(valid):
-                continue
-            rows = level.rows_of(shifted[valid])
+            rows = level.rows_of(shifted)
             found = rows >= 0
-            targets = np.flatnonzero(valid)[found]
-            responses[targets] -= level.n[rows[found]]
+            responses[found] -= level.n[rows[found]]
         shifted[:, axis] = column
     return responses
 
@@ -73,13 +69,10 @@ def six_region(
     deltas = np.tile(np.array([-1, 1], dtype=np.int64), d)
     probe_index = np.arange(2 * d, dtype=np.int64)
     probes[probe_index, probe_axes] += deltas
-    shifted = probes[probe_index, probe_axes]
-    valid = (shifted >= 0) & (shifted <= level.limit)
+    rows = level.rows_of(probes)  # a probe off the grid is a miss
+    found = rows >= 0
     neighbors = np.zeros(2 * d, dtype=np.int64)
-    if np.any(valid):
-        rows = level.rows_of(probes[valid])
-        found = rows >= 0
-        neighbors[np.flatnonzero(valid)[found]] = level.n[rows[found]]
+    neighbors[found] = level.n[rows[found]]
     total = parent_n + neighbors[0::2] + neighbors[1::2]
     half = level.half_counts[row]
     center = np.where(bits == 0, half, parent_n - half).astype(np.int64)

@@ -35,7 +35,7 @@ from repro import obs
 from repro.core.beta_cluster import BetaCluster, find_beta_clusters
 from repro.core.contracts import check_array, check_labels
 from repro.core.correlation_cluster import build_correlation_clusters
-from repro.core.counting_tree import MIN_RESOLUTIONS, CountingTree
+from repro.core.counting_tree import CountingTree, check_resolutions
 from repro.data.normalize import apply_minmax, minmax_params
 from repro.types import ClusteringResult, FloatArray, IntArray, SubspaceCluster
 
@@ -91,8 +91,7 @@ class MrCC:
     ) -> None:
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if n_resolutions < MIN_RESOLUTIONS:
-            raise ValueError(f"n_resolutions must be >= {MIN_RESOLUTIONS}")
+        check_resolutions(n_resolutions)
         self.alpha = float(alpha)
         self.n_resolutions = int(n_resolutions)
         self.normalize = bool(normalize)

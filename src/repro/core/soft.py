@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.beta_cluster import BetaCluster, _SearchState, _search_pass
 from repro.core.contracts import check_array
 from repro.core.correlation_cluster import UnionFind
-from repro.core.counting_tree import MIN_RESOLUTIONS, CountingTree
+from repro.core.counting_tree import CountingTree, check_resolutions
 from repro.data.normalize import minmax_normalize
 from repro.types import (
     NOISE_LABEL,
@@ -133,8 +133,7 @@ class SoftMrCC:
     ) -> None:
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if n_resolutions < MIN_RESOLUTIONS:
-            raise ValueError(f"n_resolutions must be >= {MIN_RESOLUTIONS}")
+        check_resolutions(n_resolutions)
         if not 0.0 <= membership_threshold < 1.0:
             raise ValueError("membership_threshold must be in [0, 1)")
         self.alpha = float(alpha)

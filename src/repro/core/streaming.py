@@ -21,15 +21,14 @@ from typing import Any
 import numpy as np
 
 from repro import obs
-from repro.core.contracts import ContractError, check_array
+from repro.core.contracts import check_array
 from repro.fabric.faults import fire
 from repro.core.counting_tree import (
-    MAX_RESOLUTIONS,
-    MIN_RESOLUTIONS,
     CountingTree,
     Level,
     LevelArrays,
     bin_points,
+    check_resolutions,
     level_arrays,
     level_from_arrays,
     merge_level_arrays,
@@ -57,13 +56,7 @@ class TreeStreamBuilder:
     """
 
     def __init__(self, n_resolutions: int = 4) -> None:
-        if n_resolutions < MIN_RESOLUTIONS:
-            raise ValueError(f"n_resolutions must be >= {MIN_RESOLUTIONS}")
-        if n_resolutions > MAX_RESOLUTIONS:
-            raise ContractError(
-                f"n_resolutions must be <= {MAX_RESOLUTIONS}: level "
-                f"coordinates must fit the uint32 cell-key packing"
-            )
+        check_resolutions(n_resolutions)
         self._n_resolutions = n_resolutions
         self._stores: dict[int, LevelArrays] = {}
         self._d: int | None = None

@@ -220,7 +220,6 @@ def save_model(model: FittedModel | MrCC, path: str | Path) -> Path:
         arrays.append(
             (f"level{h}/half_counts", level.half_counts.astype("<i8", copy=False))
         )
-        arrays.append((f"level{h}/keys", np.asarray(level.keys)))
 
     with obs.span("serve.save"):
         write_model(path, model.meta, arrays)
@@ -245,11 +244,11 @@ _META_KEYS = frozenset(
 def load_model(path: str | Path, mmap: bool = True) -> FittedModel:
     """Load one model file into a :class:`FittedModel`.
 
-    ``mmap=True`` keeps the level arrays as read-only memmap views —
-    the per-worker resident cost of the tree is near zero and N
-    processes opening the same file share one page-cache copy.  All
-    structural facts (grouping, axis sets) are re-derived from the
-    loaded β-clusters, never trusted from the header.
+    ``mmap=True`` keeps the level arrays as read-only memmap views, so
+    N processes opening the same file share one page-cache copy; each
+    holds privately only the cell keys its levels pack from ``coords``
+    at load.  All structural facts (grouping, axis sets, cell keys) are
+    re-derived from the loaded arrays, never trusted from the header.
 
     Raises :class:`~repro.serve.store.ModelFormatError` on any missing,
     corrupt, truncated or version-skewed file, including one whose
@@ -280,8 +279,8 @@ def load_model(path: str | Path, mmap: bool = True) -> FittedModel:
 
         betas = _betas_from_arrays(path, data, n_betas, d)
         levels = _levels_from_arrays(path, data, n_resolutions, d)
-        # Checking the levels' key order read every row; hand the
-        # pages back so a mapped load stays near-zero resident.
+        # Packing the levels' keys read every coordinate row; hand
+        # the mapped pages back to the page cache.
         release_pages(levels[1].coords)
         normalizer = None
         if meta["normalize"]:
@@ -330,7 +329,6 @@ def _expected_arrays(meta: dict[str, Any], n_resolutions: int) -> list[str]:
             f"level{h}/coords",
             f"level{h}/counts",
             f"level{h}/half_counts",
-            f"level{h}/keys",
         ]
     return names
 
@@ -375,7 +373,6 @@ def _levels_from_arrays(
         coords = data[f"level{h}/coords"]
         counts = data[f"level{h}/counts"]
         halves = data[f"level{h}/half_counts"]
-        keys = data[f"level{h}/keys"]
         m = coords.shape[0]
         if coords.ndim != 2 or coords.shape[1] != d:
             raise ModelFormatError(
@@ -387,18 +384,13 @@ def _levels_from_arrays(
                 f"{path}: level{h} counts/half_counts rows disagree with "
                 f"coords ({m} cells)"
             )
-        if keys.shape != (m,) or keys.dtype.itemsize != 4 * d:
-            raise ModelFormatError(
-                f"{path}: level{h}/keys must be {m} packed {4 * d}-byte "
-                f"keys, got shape {keys.shape} itemsize {keys.dtype.itemsize}"
-            )
         if m == 0:
             raise ModelFormatError(
                 f"{path}: level{h} stores zero cells (a fitted tree "
                 f"always has at least one populated cell per level)"
             )
         try:
-            levels[h] = Level(h, coords, counts, halves, keys=keys)
+            levels[h] = Level(h, coords, counts, halves)
         except ContractError as error:
             raise ModelFormatError(
                 f"{path}: level{h} is not a key-ordered cell set: {error}"

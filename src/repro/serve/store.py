@@ -2,14 +2,18 @@
 
 A *model file* is the durable serving artifact of a fitted MrCC
 estimator: the Counting-tree level arrays (the key-sorted
-structure-of-arrays layout every builder produces), the β-cluster
-records, the normalisation parameters and the fit metadata.  The layout
+structure-of-arrays layout every builder produces: ``coords``,
+``counts`` and ``half_counts`` per level), the β-cluster records, the
+normalisation parameters and the fit metadata.  Cell keys are not
+stored: the loader packs them from ``coords`` in the pass that checks
+the rows' key order, so they cannot disagree with the cells.  The layout
 is designed for ``np.memmap``: a tiny JSON header followed by raw
 little-endian array sections, each aligned to 64 bytes, so N serving
 workers can open the same file read-only and share one page cache copy
-of the tree — near-zero per-worker resident set.
+of the tree; a worker's private share is its packed keys, 8 bytes per
+cell and key word.
 
-Layout (schema v1)::
+Layout (schema v2)::
 
     offset 0   magic  b"REPROMDL"            (8 bytes)
     offset 8   header length, uint64 LE      (8 bytes)
@@ -54,7 +58,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = b"REPROMDL"
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 _ALIGNMENT = 64
 """Array sections start on cache-line boundaries so memmapped views are
@@ -64,8 +68,8 @@ _HEADER_KEYS = frozenset({"schema", "generated_by", "byte_order", "meta", "array
 _ARRAY_KEYS = frozenset({"name", "dtype", "shape", "offset", "nbytes"})
 
 _SCALAR_DTYPES = frozenset({"<i8", "<f8", "|b1"})
-"""Fixed little-endian dtypes the format admits, plus ``|V{n}`` void
-rows for packed cell keys (validated separately)."""
+"""The only dtypes the format admits: little-endian int64 and float64,
+and bool."""
 
 
 class ModelFormatError(ValueError):
@@ -82,15 +86,13 @@ def _align(offset: int) -> int:
 
 def _dtype_token(dtype: np.dtype) -> str:
     """Canonical header token for an admissible array dtype."""
-    if dtype.kind == "V" and dtype.names is None:
-        return f"|V{dtype.itemsize}"
     token = dtype.str
     if token == "|i8" or token == "=i8":  # pragma: no cover - platform spelling
         token = "<i8"
     if token not in _SCALAR_DTYPES:
         raise ModelFormatError(
-            f"model arrays must be little-endian int64/float64/bool or "
-            f"void keys, got dtype {dtype.str!r}"
+            f"model arrays must be little-endian int64/float64 or bool, "
+            f"got dtype {dtype.str!r}"
         )
     return token
 
@@ -101,16 +103,9 @@ def _parse_dtype(token: str, name: str) -> np.dtype:
         _fail(f"array {name!r}: dtype must be a string, got {token!r}")
     if token in _SCALAR_DTYPES:
         return np.dtype(token)
-    if token.startswith("|V"):
-        try:
-            width = int(token[2:])
-        except ValueError:
-            width = 0
-        if width > 0:
-            return np.dtype((np.void, width))
     _fail(
         f"array {name!r}: dtype {token!r} is not an admissible model "
-        f"dtype (little-endian <i8/<f8, |b1, or |V<width> keys); a "
+        f"dtype (little-endian <i8/<f8 or |b1); a "
         f"big-endian or foreign dtype means the file was written by an "
         f"incompatible producer"
     )
@@ -278,7 +273,7 @@ def read_model(
     releases the file immediately (the fit/tooling path).
 
     Raises :class:`ModelFormatError` for anything that is not a valid
-    schema-v1 model file, including a vanished or truncated file.
+    schema-v2 model file, including a vanished or truncated file.
     """
     path = Path(path)
     try:

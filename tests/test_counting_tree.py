@@ -14,7 +14,6 @@ from repro.core.counting_tree import (
     level_arrays,
     merge_level_arrays,
     reference_levels,
-    void_keys,
 )
 from repro.core.streaming import TreeStreamBuilder, shard_level_arrays
 
@@ -151,24 +150,6 @@ class TestNeighborsAndBounds:
             )
 
 
-class TestVoidKeys:
-    def test_orders_lexicographically(self):
-        coords = np.array([[0, 5], [1, 0], [0, 2]])
-        keys = void_keys(coords)
-        order = np.argsort(keys)
-        assert order.tolist() == [2, 0, 1]
-
-    def test_rows_of_vectorised_lookup(self):
-        rng = np.random.default_rng(5)
-        points = rng.uniform(0, 1, size=(200, 3))
-        tree = _tree(points)
-        level = tree.level(2)
-        rows = level.rows_of(level.coords)
-        assert np.array_equal(rows, np.arange(level.n_cells))
-        missing = level.rows_of(np.full((1, 3), 3, dtype=np.int64) + 10)
-        assert missing[0] == -1
-
-
 def _level(h, coords):
     coords = np.asarray(coords, dtype=np.int64)
     m, d = coords.shape
@@ -178,6 +159,59 @@ def _level(h, coords):
         np.ones(m, dtype=np.int64),
         np.zeros((m, d), dtype=np.int64),
     )
+
+
+class TestLevelLookup:
+    """``rows_of`` binary-searches the rows' packed keys."""
+
+    def test_rows_of_vectorised_lookup(self):
+        rng = np.random.default_rng(5)
+        points = rng.uniform(0, 1, size=(200, 3))
+        tree = _tree(points)
+        level = tree.level(2)
+        rows = level.rows_of(level.coords)
+        assert np.array_equal(rows, np.arange(level.n_cells))
+        # One step down on axis 1 and 2**h = 4 up on axis 2, off the
+        # grid, packs to the same key as ``row``: a miss, not ``row``.
+        row = int(np.flatnonzero(level.coords[:, 1] >= 1)[0])
+        alias = level.coords[row] + np.array([0, -1, 4])
+        missing = level.rows_of(np.stack([np.full(3, 13), alias]))
+        assert missing.tolist() == [-1, -1]
+
+    def test_wrong_axis_count_raises_value_error(self):
+        level = _level(2, [[0, 3], [1, 0]])
+        with pytest.raises(ValueError, match=r"\(k, 2\) coordinate rows"):
+            level.rows_of(np.zeros((1, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"\(k, 2\) coordinate rows"):
+            level.row_of(np.array([1]))
+
+    @pytest.mark.parametrize("d, words", [(15, 1), (30, 2)])
+    def test_rows_of_matches_brute_force_lookup(self, d, words):
+        # Level 4 packs 15 four-bit fields per word, so d=30 needs two.
+        # Twins one cell up on the last axis make the last-axis probes
+        # hit cells that differ from a stored one in the last word only.
+        rng = np.random.default_rng(d)
+        points = rng.uniform(0.1, 0.8, size=(1000, d))
+        twins = points[:500].copy()
+        twins[:, -1] += 1 / 16
+        level = _tree(np.concatenate([points, twins]), H=5).level(4)
+        assert level.keys.dtype.itemsize == 8 * words
+        index = {tuple(row): i for i, row in enumerate(level.coords.tolist())}
+        neighbours = level.coords.copy()
+        neighbours[:, -1] += 1
+        probes = np.concatenate(
+            [
+                level.coords,
+                neighbours,
+                rng.integers(0, 16, size=(200, d)),
+                np.zeros((1, d), dtype=np.int64),  # below the first key
+                np.full((1, d), 15, dtype=np.int64),  # past the last key
+            ]
+        )
+        want = [index.get(tuple(row), -1) for row in probes.tolist()]
+        assert level.rows_of(probes).tolist() == want
+        assert want[-2:] == [-1, -1]
+        assert 0 < sum(w >= 0 for w in want[level.n_cells :])
 
 
 class TestLevelKeyOrder:
@@ -215,6 +249,8 @@ class TestLevelKeyOrder:
     def test_coordinates_outside_the_level_grid_are_rejected(self):
         with pytest.raises(ContractError, match=r"\[0, 2\*\*2\)"):
             _level(2, [[0, 4]])
+        with pytest.raises(ContractError, match=r"\[0, 2\*\*2\)"):
+            _level(2, [[-1, 0]])
 
     def test_check_stays_on_with_contracts_disabled(self):
         from repro.core import contracts
@@ -222,48 +258,16 @@ class TestLevelKeyOrder:
         with contracts.disabled():
             with pytest.raises(ContractError, match="ascending key order"):
                 _level(2, [[1, 0], [0, 3]])
+            with pytest.raises(ContractError, match=r"\[0, 2\*\*2\)"):
+                _level(2, [[0, 4]])
 
 
-class TestUint32KeyGuard:
-    """The `>u4` key packing must reject coordinates it cannot hold."""
-
-    U4_MAX = 2**32 - 1
-
-    def test_boundary_coordinate_is_accepted(self):
-        coords = np.array([[self.U4_MAX, 0], [0, self.U4_MAX]], dtype=np.int64)
-        keys = void_keys(coords)
-        assert keys.shape == (2,)
-        assert keys[0] != keys[1]
-
-    def test_coordinate_past_uint32_raises_contract_error(self):
-        coords = np.array([[self.U4_MAX + 1, 0]], dtype=np.int64)
-        with pytest.raises(ContractError, match="uint32"):
-            void_keys(coords)
-
-    def test_negative_coordinate_raises_contract_error(self):
-        with pytest.raises(ContractError, match="uint32"):
-            void_keys(np.array([[-1, 0]], dtype=np.int64))
-
-    def test_boundary_values_do_not_alias(self):
-        # Without the guard, 2**32 would wrap to the same key as 0.
-        wrapped = np.array([[2**32, 0]], dtype=np.int64)
-        with pytest.raises(ContractError):
-            void_keys(wrapped)
-        zero_key = void_keys(np.array([[0, 0]], dtype=np.int64))
-        max_key = void_keys(np.array([[self.U4_MAX, 0]], dtype=np.int64))
-        assert zero_key[0] != max_key[0]
+class TestResolutionRange:
+    """Every builder shares one ``H`` range check."""
 
     def test_tree_rejects_high_resolutions(self):
         with pytest.raises(ContractError, match="n_resolutions"):
             _tree([[0.5, 0.5]], H=33)
-
-    def test_tree_disabled_contracts_still_guard_keys(self):
-        # The guard is a correctness invariant, not a data-scan option.
-        from repro.core import contracts
-
-        with contracts.disabled():
-            with pytest.raises(ContractError):
-                void_keys(np.array([[2**32, 0]], dtype=np.int64))
 
     def test_streaming_build_rejects_high_resolutions(self):
         from repro.core.streaming import build_tree_from_chunks
@@ -271,6 +275,12 @@ class TestUint32KeyGuard:
         chunks = [np.array([[0.25, 0.75]], dtype=np.float64)]
         with pytest.raises(ContractError, match="n_resolutions"):
             build_tree_from_chunks(chunks, n_resolutions=33)
+
+    def test_estimator_rejects_high_resolutions_up_front(self):
+        from repro.core.mrcc import MrCC
+
+        with pytest.raises(ContractError, match="n_resolutions"):
+            MrCC(n_resolutions=33)
 
 
 def _soa(level):

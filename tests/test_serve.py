@@ -40,6 +40,7 @@ from repro.data.synthetic import SyntheticDatasetSpec
 from repro.fabric.faults import InjectedFault
 from repro.serve import (
     MODEL_MAGIC,
+    MODEL_SCHEMA_VERSION,
     BatchLabeller,
     LabellerStopped,
     ModelCache,
@@ -137,6 +138,13 @@ class TestGoldenModels:
         ), "model serialization is no longer byte-stable; regenerate"
         assert path.stat().st_size == sidecar["file_bytes"]
 
+    def test_committed_binary_matches_pinned_sha(self, name):
+        sidecar = load_sidecar(name)
+        blob = (FIXTURES_DIR / f"{name}.bin").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == sidecar["file_sha256"]
+        assert len(blob) == sidecar["file_bytes"]
+        assert sidecar["schema"] == MODEL_SCHEMA_VERSION
+
     def test_loaded_meta_matches_suite(self, name):
         sidecar = load_sidecar(name)
         model = load_model(FIXTURES_DIR / f"{name}.bin")
@@ -180,7 +188,7 @@ class TestRoundTrip:
             assert np.array_equal(level.coords, ref.coords)
             assert np.array_equal(level.n, ref.n)
             assert np.array_equal(level.half_counts, ref.half_counts)
-            # Lookups go through the persisted packed keys.
+            # Lookups go through the keys packed from coords at load.
             assert level.row_of(ref.coords[0]) == ref.row_of(ref.coords[0])
 
     def test_save_is_byte_stable(self, small_fit, tmp_path):
@@ -267,7 +275,7 @@ def _raw_model(path: Path, header: dict, data: bytes) -> Path:
 
 def _valid_header(**overrides) -> dict:
     header = {
-        "schema": 1,
+        "schema": MODEL_SCHEMA_VERSION,
         "generated_by": "repro.serve",
         "byte_order": "little",
         "meta": {"k": 1},
@@ -317,6 +325,13 @@ class TestFailurePaths:
         with pytest.raises(ModelFormatError, match="schema"):
             load_model(path)
 
+    def test_schema_1_file_is_rejected(self, tmp_path):
+        path = _raw_model(
+            tmp_path / "v1.model", _valid_header(schema=1), b"\x00" * 16
+        )
+        with pytest.raises(ModelFormatError, match="incompatible version"):
+            load_model(path)
+
     def test_wrong_byte_order(self, tmp_path):
         path = _raw_model(
             tmp_path / "endian.model",
@@ -338,6 +353,13 @@ class TestFailurePaths:
         header["arrays"][0]["dtype"] = "<c16"
         path = _raw_model(tmp_path / "dtype.model", header, b"\x00" * 16)
         with pytest.raises(ModelFormatError, match="dtype"):
+            load_model(path)
+
+    def test_void_dtype_is_rejected(self, tmp_path):
+        header = _valid_header()
+        header["arrays"][0].update(dtype="|V8", shape=[2], nbytes=16)
+        path = _raw_model(tmp_path / "void.model", header, b"\x00" * 16)
+        with pytest.raises(ModelFormatError, match=r"'\|V8' is not an"):
             load_model(path)
 
     def test_section_past_end_of_file(self, tmp_path):
@@ -400,12 +422,12 @@ class TestFailurePaths:
         self, small_model_path, tmp_path, defect, rows, mmap
     ):
         # Every array of one level rewritten consistently, so only the
-        # row order is wrong; lookups through the sorted keys would
-        # silently miss cells.
+        # row order is wrong; lookups through the keys packed from
+        # these rows would silently miss cells.
         header, data = read_model(small_model_path, mmap=False)
         h = header["meta"]["n_resolutions"] - 1
         assert data[f"level{h}/coords"].shape[0] >= 4
-        for column in ("coords", "counts", "half_counts", "keys"):
+        for column in ("coords", "counts", "half_counts"):
             array = data[f"level{h}/{column}"].copy()
             array[:4] = array[rows]
             data[f"level{h}/{column}"] = array
